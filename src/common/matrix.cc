@@ -1,6 +1,7 @@
 #include "common/matrix.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/isa.h"
 #include "common/obs.h"
@@ -150,6 +151,88 @@ gemmTileABFull(const double *a, std::size_t lda, const double *b,
 }
 
 /**
+ * Four doubles as one GCC vector. Only ever a local inside
+ * force-inlined code, never a parameter or return value, so no clone
+ * depends on the AVX calling convention (no -Wpsabi). The v3 clone
+ * maps it onto one ymm register; the default clone splits it into two
+ * SSE2 halves with the same per-lane arithmetic.
+ */
+typedef double V4d __attribute__((vector_size(4 * sizeof(double))));
+
+/**
+ * Branch-free kMr x kNr tile of C (+)= A * B for a panel of A (rows at
+ * leading dimension lda) with no zero element. Each k loads the B row
+ * once, broadcasts each A value and runs one multiply-add per
+ * accumulator lane: the same ascending-k chain, with the same FP
+ * contraction, as gemmTileABFull, whose skip never fires on such a
+ * panel — so the two are bit-identical. The
+ * accumulators are named vectors rather than a double[MR][NR] array:
+ * without the skip branch GCC 12 spills the array form to the stack
+ * and runs ~5x slower.
+ */
+HWPR_FORCE_INLINE void
+gemmTileDense(const double *a, std::size_t lda, const double *b,
+              std::size_t ldb, double *c, std::size_t ldc,
+              std::size_t kk, bool accumulate)
+{
+    static_assert(kMr == 4 && kNr == 8, "tile is written out for 4x8");
+    V4d c00 = {}, c01 = {}, c10 = {}, c11 = {};
+    V4d c20 = {}, c21 = {}, c30 = {}, c31 = {};
+    if (accumulate) {
+        std::memcpy(&c00, c, sizeof(V4d));
+        std::memcpy(&c01, c + 4, sizeof(V4d));
+        std::memcpy(&c10, c + ldc, sizeof(V4d));
+        std::memcpy(&c11, c + ldc + 4, sizeof(V4d));
+        std::memcpy(&c20, c + 2 * ldc, sizeof(V4d));
+        std::memcpy(&c21, c + 2 * ldc + 4, sizeof(V4d));
+        std::memcpy(&c30, c + 3 * ldc, sizeof(V4d));
+        std::memcpy(&c31, c + 3 * ldc + 4, sizeof(V4d));
+    }
+    const double *a0 = a, *a1 = a + lda, *a2 = a + 2 * lda,
+                 *a3 = a + 3 * lda;
+    for (std::size_t k = 0; k < kk; ++k) {
+        V4d b0, b1;
+        std::memcpy(&b0, b + k * ldb, sizeof(V4d));
+        std::memcpy(&b1, b + k * ldb + 4, sizeof(V4d));
+        c00 += a0[k] * b0;
+        c01 += a0[k] * b1;
+        c10 += a1[k] * b0;
+        c11 += a1[k] * b1;
+        c20 += a2[k] * b0;
+        c21 += a2[k] * b1;
+        c30 += a3[k] * b0;
+        c31 += a3[k] * b1;
+    }
+    std::memcpy(c, &c00, sizeof(V4d));
+    std::memcpy(c + 4, &c01, sizeof(V4d));
+    std::memcpy(c + ldc, &c10, sizeof(V4d));
+    std::memcpy(c + ldc + 4, &c11, sizeof(V4d));
+    std::memcpy(c + 2 * ldc, &c20, sizeof(V4d));
+    std::memcpy(c + 2 * ldc + 4, &c21, sizeof(V4d));
+    std::memcpy(c + 3 * ldc, &c30, sizeof(V4d));
+    std::memcpy(c + 3 * ldc + 4, &c31, sizeof(V4d));
+}
+
+/**
+ * True when no element of the kMr x @p kk panel at @p a (rows at
+ * leading dimension lda) compares equal to zero, so -0.0 counts as a
+ * zero.
+ * Walks k outermost and stops at the first zero: a one-hot or ReLU
+ * panel is rejected within a step or two, and only a dense panel pays
+ * the full O(kMr * kk) scan, which its dense tile then repays.
+ */
+HWPR_FORCE_INLINE bool
+panelZeroFree(const double *a, std::size_t lda, std::size_t kk)
+{
+    static_assert(kMr == 4, "scan is written out for 4 rows");
+    for (std::size_t k = 0; k < kk; ++k)
+        if ((a[k] == 0.0) | (a[lda + k] == 0.0) |
+            (a[2 * lda + k] == 0.0) | (a[3 * lda + k] == 0.0))
+            return false;
+    return true;
+}
+
+/**
  * C tile [0,mr) x [0,nr) of C (+)= A * B. @p a points at the first A
  * row (leading dimension lda), @p b at B's tile columns (ldb), @p c at
  * the output tile (ldc). Full tiles take the fixed-size register
@@ -253,6 +336,14 @@ gemmTileAtB(const double *a, std::size_t lda, const double *b,
  * and register tiles above. These are the ISA-dispatch roots — every
  * tile helper inlines into them, so the x86-64-v3 clone vectorizes
  * the whole tree with AVX2+FMA.
+ *
+ * Each full kMr-row panel is scanned for a zero (panelZeroFree) when
+ * at least one full kNr tile follows: a zero-free panel (dense LSTM
+ * gate inputs) runs gemmTileDense on its full tiles, a panel holding
+ * a zero (ReLU or one-hot inputs) keeps the zero-skip tile, and
+ * ragged row or column tails always do. The choice depends only on
+ * the panel's values and tiles are kMr-aligned at every thread count,
+ * so results stay bit-identical to the naive kernels.
  */
 HWPR_TARGET_CLONES void
 gemmRowsAB(const double *a, const double *b, double *c,
@@ -263,10 +354,17 @@ gemmRowsAB(const double *a, const double *b, double *c,
         const std::size_t j1 = std::min(n, j0 + kNc);
         for (std::size_t i = i0; i < i1; i += kMr) {
             const std::size_t mr = std::min(kMr, i1 - i);
+            const bool dense = mr == kMr && j1 - j0 >= kNr &&
+                               panelZeroFree(a + i * kk, kk, kk);
             for (std::size_t j = j0; j < j1; j += kNr) {
                 const std::size_t nr = std::min(kNr, j1 - j);
-                gemmTileAB(a + i * kk, kk, b + j, n,
-                           c + i * n + j, n, mr, nr, kk, accumulate);
+                if (dense && nr == kNr)
+                    gemmTileDense(a + i * kk, kk, b + j, n,
+                                  c + i * n + j, n, kk, accumulate);
+                else
+                    gemmTileAB(a + i * kk, kk, b + j, n,
+                               c + i * n + j, n, mr, nr, kk,
+                               accumulate);
             }
         }
     }

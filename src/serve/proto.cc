@@ -108,7 +108,7 @@ parseArchs(const json::Value &req,
             err = at + " is not an object";
             return false;
         }
-        nasbench::SpaceId space_id;
+        nasbench::SpaceId space_id = nasbench::SpaceId::NasBench201;
         if (!spaceFromName(item.stringOr("space", ""), space_id)) {
             err = at + ": unknown space (nb201 | fbnet)";
             return false;

@@ -155,9 +155,10 @@ TEST(ListMle, GradientDescentRecoversRanking)
     // higher-rank arch.
     for (std::size_t i = 0; i < 10; ++i)
         for (std::size_t j = 0; j < 10; ++j)
-            if (ranks[i] < ranks[j])
+            if (ranks[i] < ranks[j]) {
                 EXPECT_GT(s.value()(i, 0), s.value()(j, 0))
                     << i << " vs " << j;
+            }
 }
 
 TEST(ListMle, SingletonListIsFinite)

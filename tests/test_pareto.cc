@@ -119,8 +119,9 @@ TEST_P(NdsPropertyTest, PaperEquationsHold)
     for (const auto &front : fronts) {
         for (std::size_t a : front)
             for (std::size_t b : front)
-                if (a != b)
+                if (a != b) {
                     EXPECT_FALSE(pareto::dominates(pts[a], pts[b]));
+                }
     }
     for (std::size_t k = 0; k + 1 < fronts.size(); ++k) {
         for (std::size_t i : fronts[k + 1]) {

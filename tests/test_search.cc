@@ -265,8 +265,9 @@ TEST(Report, FrontIsNonDominatedSubset)
     // No front member dominates another.
     for (const auto &a : report.front)
         for (const auto &b : report.front)
-            if (&a != &b)
+            if (&a != &b) {
                 EXPECT_FALSE(pareto::dominates(a, b));
+            }
     // Every non-front member is dominated by some front member.
     for (std::size_t i = 0; i < report.objectives.size(); ++i) {
         const bool on_front =
@@ -444,8 +445,9 @@ TEST(AgingEvolutionTest, KeepSmallerThanFrontTruncatesFront)
     // kept set must be mutually non-dominated.
     for (const auto &a : result.fitness)
         for (const auto &b : result.fitness)
-            if (&a != &b)
+            if (&a != &b) {
                 EXPECT_FALSE(pareto::dominates(a, b));
+            }
 }
 
 TEST(AgingEvolutionTest, SameSeedDeterministic)

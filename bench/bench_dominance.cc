@@ -10,8 +10,8 @@
  * set, the same search domain, the same generation-budget grid and
  * the same per-platform hypervolume reference point (nadir of a large
  * random cloud). Fronts are measured on the oracle — reported
- * hypervolume never comes from surrogate outputs (the fp64 re-scoring
- * rule, see DESIGN.md "Dominance surrogate").
+ * hypervolume never comes from surrogate outputs (see DESIGN.md
+ * "Dominance surrogate").
  *
  * Results are written as JSON (default BENCH_dominance.json) so the
  * comparison is tracked across PRs. With --gate the process fails if

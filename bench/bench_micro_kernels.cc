@@ -7,20 +7,12 @@
  *
  * Besides the google-benchmark suite, `--batch-json[=FILE]` runs a
  * fixed grid of batched-forward, fused-surrogate and parallel-GEMM
- * measurements (batch 1/32/256/1024 x threads 1/2/4/N, all five
+ * measurements (batch 1/32/256/1024 x threads 1/2/4/N, all six
  * surrogate families through their plan-backed predictBatch) and
  * writes them as JSON (default BENCH_batch.json) so the
  * batching/threading speedup is tracked across PRs. `--quick` shrinks
  * the grid (mlp + gemm only, batch 1/1024, 0.05 s budget) for CI
  * smoke jobs.
- *
- * `--quant-json[=FILE]` sweeps the int8 rank-only fast path instead
- * (default BENCH_quant.json): every family's warm rankBatch vs fp64
- * predictBatch ops/s at batch=256 on one thread, plus the int8-vs-fp64
- * Kendall tau on seeded NB201-only and FBNet-only pools. CI gates
- * tau >= 0.98 for every family and >= 2x speedup for the MLP-backed
- * ones. Unlike --batch-json, --quick still fits all families (the tau
- * gates need them) and only shrinks pools and timing budgets.
  */
 
 #include <benchmark/benchmark.h>
@@ -328,7 +320,7 @@ struct FamilyCase
 };
 
 /**
- * Fit all five surrogate families on a small sampled dataset (the
+ * Fit all six surrogate families on a small sampled dataset (the
  * test-suite "tiny" protocol: 300 archs from both spaces, fast
  * encoder dims, a few epochs). Training quality is irrelevant here —
  * the measured inference path is identical to a fully trained model's.
@@ -524,141 +516,6 @@ emitBatchJson(const std::string &path, bool quick)
     return 0;
 }
 
-// ---------------------------------------------------------------------
-// --quant-json mode: int8 rank path vs fp64, throughput + rank fidelity
-// ---------------------------------------------------------------------
-
-/** Min over output columns of the int8-vs-fp64 Kendall tau. */
-double
-minColumnTau(const Matrix &fp64, const Matrix &int8)
-{
-    double mn = 1.0;
-    std::vector<double> x(fp64.rows()), y(fp64.rows());
-    for (std::size_t c = 0; c < fp64.cols(); ++c) {
-        for (std::size_t r = 0; r < fp64.rows(); ++r) {
-            x[r] = fp64(r, c);
-            y[r] = int8(r, c);
-        }
-        mn = std::min(mn, kendallTau(x, y));
-    }
-    return mn;
-}
-
-int
-emitQuantJson(const std::string &path, bool quick)
-{
-    obs::setMetricsEnabled(true);
-    const std::size_t before = ExecContext::global().threads();
-    // The 2x acceptance gate is a single-thread comparison: both
-    // paths parallelize the same way, so threads would only add noise.
-    ExecContext::setGlobalThreads(1);
-    const double budget = quick ? 0.05 : 0.2;
-    const std::size_t tau_n = quick ? 120 : 256;
-    const std::size_t batch = 256;
-
-    // Unlike --batch-json --quick, the families are always fitted:
-    // the tau gates are the point of this mode.
-    static nasbench::Oracle oracle(nasbench::DatasetId::Cifar10);
-    Rng data_rng(88);
-    const auto data = nasbench::SampledDataset::sample(
-        {&nasbench::nasBench201(), &nasbench::fbnet()}, oracle, 300,
-        200, 50, data_rng);
-    auto families = fitFamilies(data);
-    std::vector<nasbench::Architecture> pool;
-    for (const auto *rec : data.select(data.testIdx))
-        pool.push_back(rec->arch);
-
-    // Per-space rank-fidelity pools (seeded, disjoint from training
-    // by construction only in expectation — fidelity, not accuracy,
-    // is being measured, so overlap is harmless).
-    Rng pool_rng(99);
-    std::vector<nasbench::Architecture> nb201_pool, fbnet_pool;
-    for (std::size_t i = 0; i < tau_n; ++i) {
-        nb201_pool.push_back(nasbench::nasBench201().sample(pool_rng));
-        fbnet_pool.push_back(nasbench::fbnet().sample(pool_rng));
-    }
-
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot write " << path << "\n";
-        return 1;
-    }
-    out << "{\n  \"bench\": \"bench_micro_kernels --quant-json\",\n"
-        << "  \"meta\": " << obs::runMetaJson("  ") << ",\n"
-        << "  \"note\": \"int8 ops/s measured warm: encodings are "
-           "memoized after the first rankBatch pass, which is the "
-           "steady-state regime of a search loop re-scoring stable "
-           "populations\",\n"
-        << "  \"cases\": [";
-
-    bool first = true;
-    for (auto &fam : families) {
-        const std::string family =
-            fam.kernel.substr(0, fam.kernel.find("_predict_batch"));
-        // "mlp_backed" marks families whose rank path is the int8
-        // quantized head (the 2x CI gate). The LUT has no MLP at all;
-        // the dominance classifier keeps its head in fp64 on purpose
-        // (two tiny GEMMs over the anchors — the encoder dominates,
-        // so rankBatch is bit-identical to predictBatch and its
-        // speedup comes from encoding memoization alone).
-        const bool mlp_backed =
-            family != "lut" && family != "dominance";
-
-        // Rank fidelity per space: fp64 and int8 run through separate
-        // plans so both outputs stay live for the comparison.
-        core::BatchPlan fp64_plan, int8_plan;
-        const auto tau_for =
-            [&](const std::vector<nasbench::Architecture> &archs) {
-                const Matrix &f =
-                    fam.model->predictBatch(archs, fp64_plan);
-                const Matrix &q =
-                    fam.model->rankBatch(archs, int8_plan);
-                return minColumnTau(f, q);
-            };
-        const double tau_nb201 = tau_for(nb201_pool);
-        const double tau_fbnet = tau_for(fbnet_pool);
-
-        std::vector<nasbench::Architecture> archs;
-        archs.reserve(batch);
-        for (std::size_t i = 0; i < batch; ++i)
-            archs.push_back(pool[i % pool.size()]);
-        const double fp64_spc = secondsPerCall(
-            [&] {
-                benchmark::DoNotOptimize(
-                    fam.model->predictBatch(archs, fp64_plan).data());
-            },
-            budget);
-        const double int8_spc = secondsPerCall(
-            [&] {
-                benchmark::DoNotOptimize(
-                    fam.model->rankBatch(archs, int8_plan).data());
-            },
-            budget);
-        const double fp64_ops = double(batch) / fp64_spc;
-        const double int8_ops = double(batch) / int8_spc;
-
-        out << (first ? "" : ",") << "\n    {\"family\": \"" << family
-            << "\", \"batch\": " << batch << ", \"threads\": 1"
-            << ", \"fp64_ops_per_sec\": " << fp64_ops
-            << ", \"int8_ops_per_sec\": " << int8_ops
-            << ", \"speedup\": " << int8_ops / fp64_ops
-            << ", \"tau_nb201\": " << tau_nb201
-            << ", \"tau_fbnet\": " << tau_fbnet << ", \"mlp_backed\": "
-            << (mlp_backed ? "true" : "false") << "}";
-        first = false;
-        std::cout << family << ": fp64 " << fp64_ops << " ops/s, int8 "
-                  << int8_ops << " ops/s (" << int8_ops / fp64_ops
-                  << "x), tau nb201=" << tau_nb201
-                  << " fbnet=" << tau_fbnet << "\n";
-    }
-    ExecContext::setGlobalThreads(before);
-
-    out << "\n  ],\n  \"metrics\": "
-        << obs::Registry::global().snapshotJson("  ") << "\n}\n";
-    std::cout << "wrote " << path << "\n";
-    return 0;
-}
-
 } // namespace
 
 int
@@ -687,13 +544,6 @@ main(int argc, char **argv)
             const auto eq = arg.find('=');
             return emitBatchJson(eq == std::string::npos
                                      ? "BENCH_batch.json"
-                                     : arg.substr(eq + 1),
-                                 quick);
-        }
-        if (arg.rfind("--quant-json", 0) == 0) {
-            const auto eq = arg.find('=');
-            return emitQuantJson(eq == std::string::npos
-                                     ? "BENCH_quant.json"
                                      : arg.substr(eq + 1),
                                  quick);
         }

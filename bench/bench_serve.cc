@@ -388,15 +388,14 @@ main(int argc, char **argv)
     ExecContext ctx = ExecContext::global().withSeed(7);
     model.fit(ds, ctx);
 
-    // Warm the rank fast path (freezes int8 state, fills the
-    // encoding cache) so both servers measure steady-state serving.
+    // One warm-up pass (first-touch allocations, pool start-up) so
+    // both servers measure steady-state serving.
     {
         std::vector<nasbench::Architecture> warm;
         for (int i = 0; i < 64; ++i)
             warm.push_back(sampleArch(i));
         core::BatchPlan plan;
         model.predictBatch(warm, plan);
-        model.rankBatch(warm, plan);
     }
 
     serve::ServerConfig batched;

@@ -135,36 +135,6 @@ BrpNas::predictBatch(std::span<const nasbench::Architecture> archs,
     return out;
 }
 
-const Matrix &
-BrpNas::rankBatch(std::span<const nasbench::Architecture> archs,
-                  core::BatchPlan &plan) const
-{
-    if (archs.empty())
-        return plan.prepare(0, 2);
-    HWPR_CHECK(accuracy_ && latency_, "rankBatch() before train()");
-    if (!accuracy_->hasRankFastPath() || !latency_->hasRankFastPath())
-        return predictBatch(archs, plan);
-    accuracy_->ensureRankState();
-    latency_->ensureRankState();
-    Matrix &out = plan.prepare(archs.size(), 2);
-    plan.forEachChunk(
-        "brpnas_rank",
-        [&](nn::PredictScratch &scratch, std::size_t i0,
-            std::size_t i1) {
-            const std::size_t len = i1 - i0;
-            const auto sub = archs.subspan(i0, len);
-            Matrix &acc = scratch.acquire(len, 1);
-            accuracy_->rankChunk(sub, scratch, acc.data());
-            Matrix &lat = scratch.acquire(len, 1);
-            latency_->rankChunk(sub, scratch, lat.data());
-            for (std::size_t r = 0; r < len; ++r) {
-                out(i0 + r, 0) = 100.0 - acc(r, 0);
-                out(i0 + r, 1) = std::exp(lat(r, 0));
-            }
-        });
-    return out;
-}
-
 core::SurrogateEvaluator
 BrpNas::evaluator() const
 {

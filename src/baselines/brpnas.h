@@ -54,19 +54,6 @@ class BrpNas : public core::Surrogate
     predictBatch(std::span<const nasbench::Architecture> archs,
                  core::BatchPlan &plan) const override;
 
-    /**
-     * Rank-only fast path: both predictors run their memoized
-     * frozen-encoder + int8-head rank kernels per chunk, with the
-     * same output transforms as predictBatch (monotone per column, so
-     * ranking semantics match). GBDT-backed predictors fall back to
-     * predictBatch, which already runs the flattened-forest descent.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "brpnas"; }
-
     // ---------------------------------------------------------------
 
     /**

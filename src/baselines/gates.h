@@ -52,19 +52,6 @@ class Gates : public core::Surrogate
     predictBatch(std::span<const nasbench::Architecture> archs,
                  core::BatchPlan &plan) const override;
 
-    /**
-     * Rank-only fast path: both ranking predictors run their memoized
-     * frozen-encoder + int8-head rank kernels per chunk. The output
-     * transforms match predictBatch() (negation / identity — both
-     * monotone per column), so dominance comparisons are preserved.
-     * GBDT-backed predictors fall back to predictBatch.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "gates"; }
-
     // ---------------------------------------------------------------
 
     /** Train the accuracy and latency ranking predictors. */

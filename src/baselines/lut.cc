@@ -61,26 +61,6 @@ LatencyLut::opLatencySec(const hw::OpWorkload &op) const
     return lat;
 }
 
-double
-LatencyLut::archLatencyMs(const nasbench::Architecture &arch) const
-{
-    const std::uint64_t k = arch.hash(0x1a7ec4c4e11ull);
-    {
-        std::shared_lock lock(archMu_);
-        auto it = archMemo_.find(k);
-        if (it != archMemo_.end())
-            return it->second;
-    }
-    const double ms = estimateMs(arch);
-    // Bounded like core::EncodingCache: past the cap the memo stops
-    // growing and misses just recompute (still correct, just slower).
-    constexpr std::size_t kMaxMemo = std::size_t(1) << 20;
-    std::unique_lock lock(archMu_);
-    if (archMemo_.size() < kMaxMemo)
-        archMemo_.emplace(k, ms);
-    return ms;
-}
-
 void
 LatencyLut::build(
     const std::vector<nasbench::Architecture> &calibration)
@@ -164,20 +144,6 @@ LatencyLut::predictBatch(std::span<const nasbench::Architecture> archs,
         [&](nn::PredictScratch &, std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i)
                 out(i, 0) = estimateMs(archs[i]);
-        });
-    return out;
-}
-
-const Matrix &
-LatencyLut::rankBatch(std::span<const nasbench::Architecture> archs,
-                      core::BatchPlan &plan) const
-{
-    Matrix &out = plan.prepare(archs.size(), 1);
-    plan.forEachChunk(
-        "lut_rank",
-        [&](nn::PredictScratch &, std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = archLatencyMs(archs[i]);
         });
     return out;
 }

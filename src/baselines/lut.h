@@ -68,19 +68,6 @@ class LatencyLut : public core::Surrogate
     predictBatch(std::span<const nasbench::Architecture> archs,
                  core::BatchPlan &plan) const override;
 
-    /**
-     * Rank-only fast path: memoizes the whole-architecture estimate
-     * keyed by the architecture hash, so repeat scoring of a stable
-     * population skips the per-op lowering and summation entirely.
-     * Values are bitwise-identical to predictBatch() (same sum, just
-     * cached), so ranking semantics are exact, not approximate.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "lut"; }
-
     // ---------------------------------------------------------------
 
     /**
@@ -129,22 +116,17 @@ class LatencyLut : public core::Surrogate
     /** Isolated latency of one operator (memoized). */
     double opLatencySec(const hw::OpWorkload &op) const;
 
-    /** Memoized estimateMs() for one architecture (rank fast path). */
-    double archLatencyMs(const nasbench::Architecture &arch) const;
-
     nasbench::DatasetId dataset_;
     hw::PlatformId platform_;
     hw::CostModel model_;
     /**
-     * Both memo tables are guarded for concurrent chunk access. Every
+     * The op memo table is guarded for concurrent chunk access. Every
      * entry is a pure function of its key, so a lost insertion race
      * re-computes the identical value — results never depend on which
      * thread populated the cache.
      */
     mutable std::shared_mutex tableMu_;
     mutable std::unordered_map<std::uint64_t, double> table_;
-    mutable std::shared_mutex archMu_;
-    mutable std::unordered_map<std::uint64_t, double> archMemo_;
 };
 
 } // namespace hwpr::baselines

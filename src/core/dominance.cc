@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset_id.h"
 #include "nasbench/space.h"
 #include "nn/loss.h"
@@ -32,7 +31,7 @@ hasNanObjective(const pareto::Point &p)
 }
 
 /** The one sigmoid of the prediction paths: a fixed scalar formula,
- *  so every path (predict, rank, counts, prob) rounds identically. */
+ *  so every path (predict, counts, prob) rounds identically. */
 double
 sigmoidScalar(double z)
 {
@@ -54,42 +53,11 @@ dominanceLabel(const pareto::Point &a, const pareto::Point &b)
     return pareto::dominates(a, b);
 }
 
-/** Frozen rank-path state: encoding memos only. The pairwise head is
- *  two tiny GEMMs over the anchor rows, so it stays fp64 (see
- *  rankBatch() docs). */
-struct DominanceSurrogate::RankState
-{
-    EncodingCache cache;
-};
-
 DominanceSurrogate::DominanceSurrogate(const DominanceConfig &cfg,
                                        nasbench::DatasetId dataset,
                                        std::uint64_t seed)
     : cfg_(cfg), dataset_(dataset), rng_(seed)
 {
-}
-
-DominanceSurrogate::~DominanceSurrogate() = default;
-
-void
-DominanceSurrogate::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-DominanceSurrogate::ensureRankState() const
-{
-    if (rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->cache.init(encoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
 }
 
 void
@@ -324,7 +292,6 @@ DominanceSurrogate::train(
     for (std::size_t r = 0; r < ref; ++r)
         refArchs_.push_back(train_archs[(r * n) / ref]);
     refreshReferenceEncodings();
-    invalidateRankState();
     trained_ = true;
 }
 
@@ -333,34 +300,6 @@ DominanceSurrogate::fit(const SurrogateDataset &data, ExecContext &ctx)
 {
     rng_ = Rng(ctx.seed);
     train(data.train, data.val, data.platform, fitConfig_);
-}
-
-void
-DominanceSurrogate::scoreEncodedChunk(const Matrix &enc,
-                                      std::size_t rows,
-                                      nn::PredictScratch &s,
-                                      Matrix &out,
-                                      std::size_t out_row0) const
-{
-    const std::size_t R = refEnc_.rows();
-    const std::size_t d = refEnc_.cols();
-    // Stack every (row, anchor) embedding difference and run one head
-    // pass per chunk. Row results of the head are bitwise independent
-    // of batch composition (the repo-wide batched-vs-scalar GEMM
-    // property), so stacking never changes a row's score.
-    Matrix &diff = s.acquire(rows * R, d);
-    for (std::size_t i = 0; i < rows; ++i)
-        for (std::size_t r = 0; r < R; ++r)
-            for (std::size_t c = 0; c < d; ++c)
-                diff(i * R + r, c) = enc(i, c) - refEnc_(r, c);
-    Matrix &logit = s.acquire(rows * R, 1);
-    head_->predictBatchInto(diff, s, logit);
-    for (std::size_t i = 0; i < rows; ++i) {
-        double acc = 0.0;
-        for (std::size_t r = 0; r < R; ++r)
-            acc += sigmoidScalar(logit(i * R + r, 0));
-        out(out_row0 + i, 0) = acc / double(R);
-    }
 }
 
 const Matrix &
@@ -381,37 +320,34 @@ DominanceSurrogate::predictBatch(
             "surrogate.predict_batch.rows");
         rows.add(archs.size());
     }
+    const std::size_t R = refEnc_.rows();
+    const std::size_t d = refEnc_.cols();
     Matrix &out = plan.prepare(archs.size(), 1);
     plan.forEachChunk(
         "dominance",
         [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
             const std::span<const nasbench::Architecture> sub =
                 archs.subspan(i0, i1 - i0);
+            const std::size_t rows = sub.size();
             const Matrix &enc = encoder_->encodeBatchInto(sub, s);
-            scoreEncodedChunk(enc, sub.size(), s, out, i0);
-        });
-    return out;
-}
-
-const Matrix &
-DominanceSurrogate::rankBatch(
-    std::span<const nasbench::Architecture> archs,
-    BatchPlan &plan) const
-{
-    if (archs.empty())
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "rankBatch() before train()");
-    ensureRankState();
-    RankState &rank = *rank_;
-    Matrix &out = plan.prepare(archs.size(), 1);
-    plan.forEachChunk(
-        "dominance_rank",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            Matrix &enc = s.acquire(sub.size(), rank.cache.width());
-            gatherEncodings(*encoder_, sub, rank.cache, s, enc);
-            scoreEncodedChunk(enc, sub.size(), s, out, i0);
+            // Stack every (row, anchor) embedding difference and run
+            // one head pass per chunk. Row results of the head are
+            // bitwise independent of batch composition (the repo-wide
+            // batched-vs-scalar GEMM property), so stacking never
+            // changes a row's score.
+            Matrix &diff = s.acquire(rows * R, d);
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t r = 0; r < R; ++r)
+                    for (std::size_t c = 0; c < d; ++c)
+                        diff(i * R + r, c) = enc(i, c) - refEnc_(r, c);
+            Matrix &logit = s.acquire(rows * R, 1);
+            head_->predictBatchInto(diff, s, logit);
+            for (std::size_t i = 0; i < rows; ++i) {
+                double acc = 0.0;
+                for (std::size_t r = 0; r < R; ++r)
+                    acc += sigmoidScalar(logit(i * R + r, 0));
+                out(i0 + i, 0) = acc / double(R);
+            }
         });
     return out;
 }

@@ -29,9 +29,7 @@
 #ifndef HWPR_CORE_DOMINANCE_H
 #define HWPR_CORE_DOMINANCE_H
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "core/encoding.h"
@@ -81,8 +79,6 @@ class DominanceSurrogate : public Surrogate
   public:
     DominanceSurrogate(const DominanceConfig &cfg,
                        nasbench::DatasetId dataset, std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~DominanceSurrogate() override;
 
     // Surrogate interface -------------------------------------------
 
@@ -113,20 +109,6 @@ class DominanceSurrogate : public Surrogate
     const Matrix &
     predictBatch(std::span<const nasbench::Architecture> archs,
                  BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings
-     * (EncodingCache) feeding the same fp64 head. The head is two
-     * tiny GEMMs over referenceSize rows — the encoder dominates the
-     * cost — so unlike the score families the head is NOT quantized:
-     * rankBatch is bit-identical to predictBatch (tau = 1) and the
-     * speedup comes entirely from encoding memoization.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "dominance"; }
 
     bool supportsDominance() const override { return true; }
 
@@ -182,12 +164,6 @@ class DominanceSurrogate : public Surrogate
     /** Re-encode the anchors with the current (final) weights. */
     void refreshReferenceEncodings();
 
-    /** Shared chunk body of predictBatch/rankBatch: anchor-mean
-     *  sigmoid scores of pre-encoded rows. */
-    void scoreEncodedChunk(const Matrix &enc, std::size_t rows,
-                           nn::PredictScratch &s, Matrix &out,
-                           std::size_t out_row0) const;
-
     DominanceConfig cfg_;
     nasbench::DatasetId dataset_;
     TrainConfig fitConfig_;
@@ -199,14 +175,6 @@ class DominanceSurrogate : public Surrogate
     /** Anchor encodings (referenceSize x dim), frozen at train end. */
     Matrix refEnc_;
     bool trained_ = false;
-
-    /** Lazily frozen rank-path state; see HwPrNas::RankState. */
-    struct RankState;
-    void ensureRankState() const;
-    void invalidateRankState();
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    mutable std::atomic<bool> rankFrozen_{false};
 };
 
 } // namespace hwpr::core

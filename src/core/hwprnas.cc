@@ -8,38 +8,20 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset_id.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
 #include "pareto/pareto.h"
 #include "search/evaluator.h"
 
 namespace hwpr::core
 {
 
-/**
- * Frozen rank-path state: int8 snapshots of the three MLP stages plus
- * encoding memo tables per branch. Built lazily on the first
- * rankBatch() after training, dropped by the next train.
- */
-struct HwPrNas::RankState
-{
-    nn::QuantizedMlp accHead;
-    std::vector<nn::QuantizedMlp> latHeads;
-    nn::QuantizedMlp combiner;
-    EncodingCache accCache;
-    EncodingCache latCache;
-};
-
 HwPrNas::HwPrNas(const HwPrNasConfig &cfg, nasbench::DatasetId dataset,
                  std::uint64_t seed)
     : cfg_(cfg), dataset_(dataset), rng_(seed)
 {
 }
-
-HwPrNas::~HwPrNas() = default;
 
 std::size_t
 HwPrNas::headIndex(hw::PlatformId platform) const
@@ -354,7 +336,6 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
     }
     if (fast)
         arena.deactivate();
-    invalidateRankState();
     trained_ = true;
 }
 
@@ -603,7 +584,6 @@ HwPrNas::trainMultiPlatform(
     restoreParams(params, best_params);
     if (fast)
         arena.deactivate();
-    invalidateRankState();
     trained_ = true;
 }
 
@@ -681,73 +661,6 @@ HwPrNas::predictBatch(std::span<const nasbench::Architecture> archs,
     HWPR_CHECK(trained_, "predictBatch() before train()");
     fusedForward(archs, headIndex(platform_), plan, nullptr);
     return plan.output();
-}
-
-void
-HwPrNas::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-HwPrNas::ensureRankState() const
-{
-    if (rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->accHead = nn::QuantizedMlp(*accHead_);
-    state->latHeads.reserve(latHeads_.size());
-    for (const auto &head : latHeads_)
-        state->latHeads.emplace_back(*head);
-    state->combiner = nn::QuantizedMlp(*combiner_);
-    state->accCache.init(accEncoder_->dim());
-    state->latCache.init(latEncoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
-}
-
-const Matrix &
-HwPrNas::rankBatch(std::span<const nasbench::Architecture> archs,
-                   BatchPlan &plan) const
-{
-    if (archs.empty())
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "rankBatch() before train()");
-    ensureRankState();
-    const std::size_t head = headIndex(platform_);
-    RankState &rank = *rank_;
-    Matrix &out = plan.prepare(archs.size(), 1);
-    plan.forEachChunk(
-        "hwprnas_rank",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            const std::size_t len = sub.size();
-            Matrix &acc_enc = s.acquire(len, rank.accCache.width());
-            gatherEncodings(*accEncoder_, sub, rank.accCache, s,
-                            acc_enc);
-            Matrix &acc = s.acquire(len, 1);
-            rank.accHead.predictBatchInto(acc_enc, s, acc);
-            Matrix &lat_enc = s.acquire(len, rank.latCache.width());
-            gatherEncodings(*latEncoder_, sub, rank.latCache, s,
-                            lat_enc);
-            Matrix &lat = s.acquire(len, 1);
-            rank.latHeads[head].predictBatchInto(lat_enc, s, lat);
-            Matrix &comb = s.acquire(len, 2);
-            for (std::size_t r = 0; r < len; ++r) {
-                comb(r, 0) = acc(r, 0);
-                comb(r, 1) = lat(r, 0);
-            }
-            Matrix &score = s.acquire(len, 1);
-            rank.combiner.predictBatchInto(comb, s, score);
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = score(i - i0, 0);
-        });
-    return out;
 }
 
 void

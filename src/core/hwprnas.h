@@ -24,9 +24,7 @@
 #define HWPR_CORE_HWPRNAS_H
 
 #include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "common/serialize.h"
@@ -85,8 +83,6 @@ class HwPrNas : public Surrogate
   public:
     HwPrNas(const HwPrNasConfig &cfg, nasbench::DatasetId dataset,
             std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~HwPrNas() override;
 
     // Surrogate interface -------------------------------------------
 
@@ -119,19 +115,6 @@ class HwPrNas : public Surrogate
     const Matrix &
     predictBatch(std::span<const nasbench::Architecture> archs,
                  BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings plus
-     * int8-quantized heads and combiner. Scores approximate
-     * predictBatch() (Kendall tau gated >= 0.98 in CI) and are
-     * deterministic at every thread count. Freezes the quantized
-     * state lazily on first call; re-training invalidates it.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "hwprnas"; }
 
     /** Training hyperparameters used by fit(). */
     void setFitConfig(const TrainConfig &cfg) { fitConfig_ = cfg; }
@@ -310,21 +293,6 @@ class HwPrNas : public Surrogate
     std::array<TargetScaler, hw::kNumPlatforms> latScalers_;
     std::vector<double> valLossHistory_;
     bool trained_ = false;
-
-    /**
-     * Lazily frozen rank-path state (quantized heads + encoding
-     * memos); see rankBatch(). Reset whenever training runs so the
-     * freeze always snapshots the final weights.
-     */
-    struct RankState;
-    void ensureRankState() const;
-    /** Drop the frozen rank state (training invalidates it). */
-    void invalidateRankState();
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    /** Publishes rank_ (acquire/release): concurrent const
-     *  rankBatch() calls may race the lazy freeze. */
-    mutable std::atomic<bool> rankFrozen_{false};
 };
 
 } // namespace hwpr::core

@@ -6,19 +6,10 @@
 #include "common/obs.h"
 #include "common/stats.h"
 #include "common/threadpool.h"
-#include "core/rank_cache.h"
 #include "nasbench/space.h"
-#include "nn/quant.h"
 
 namespace hwpr::core
 {
-
-/** Frozen rank-path state; see HwPrNas::RankState. */
-struct MetricPredictor::RankState
-{
-    nn::QuantizedMlp head;
-    EncodingCache cache;
-};
 
 std::string
 regressorName(RegressorKind kind)
@@ -44,49 +35,6 @@ MetricPredictor::MetricPredictor(EncodingKind encoding,
 {
     // The encoder itself is built lazily in train() because the AF
     // scaler needs the training architectures.
-}
-
-MetricPredictor::~MetricPredictor() = default;
-
-void
-MetricPredictor::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-MetricPredictor::ensureRankState() const
-{
-    if (!hasRankFastPath() ||
-        rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->head = nn::QuantizedMlp(*head_);
-    state->cache.init(encoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
-}
-
-void
-MetricPredictor::rankChunk(
-    std::span<const nasbench::Architecture> archs,
-    nn::PredictScratch &scratch, double *out) const
-{
-    HWPR_ASSERT(regressor_ == RegressorKind::Mlp,
-                "rankChunk is NN-only");
-    HWPR_ASSERT(rankFrozen_.load(std::memory_order_acquire),
-                "rankChunk before ensureRankState");
-    RankState &rank = *rank_;
-    Matrix &enc = scratch.acquire(archs.size(), rank.cache.width());
-    gatherEncodings(*encoder_, archs, rank.cache, scratch, enc);
-    Matrix &pred = scratch.acquire(archs.size(), 1);
-    rank.head.predictBatchInto(enc, scratch, pred);
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = targetScaler_.denorm(pred(i, 0));
 }
 
 Matrix
@@ -167,7 +115,6 @@ MetricPredictor::train(
                 ? gbdt::xgboostConfig()
                 : gbdt::lgboostConfig());
         trees_->fit(x, train_yn, rng_, &xv, &val_yn);
-        invalidateRankState();
         trained_ = true;
         return;
     }
@@ -308,7 +255,6 @@ MetricPredictor::train(
     restoreParams(params, best_params);
     if (fast)
         arena.deactivate();
-    invalidateRankState();
     trained_ = true;
 }
 

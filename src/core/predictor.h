@@ -15,10 +15,8 @@
 #ifndef HWPR_CORE_PREDICTOR_H
 #define HWPR_CORE_PREDICTOR_H
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "common/serialize.h"
@@ -77,8 +75,6 @@ class MetricPredictor
     MetricPredictor(EncodingKind encoding, const EncoderConfig &enc_cfg,
                     RegressorKind regressor,
                     nasbench::DatasetId dataset, std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~MetricPredictor();
 
     /**
      * Train on oracle records. NN predictors optimize the configured
@@ -121,26 +117,6 @@ class MetricPredictor
                       nn::PredictScratch &scratch, double *out) const;
 
     /**
-     * Rank-only variant of predictChunk(): memoized frozen-encoder
-     * encodings + the int8-quantized head, same denormalization (a
-     * monotone transform, so ranking semantics are preserved).
-     * Callers must ensureRankState() once before fanning out. NN
-     * regressors only, like predictChunk(); the GBDT path is already
-     * served by the flattened-forest Gbdt::predictBatch.
-     */
-    void rankChunk(std::span<const nasbench::Architecture> archs,
-                   nn::PredictScratch &scratch, double *out) const;
-
-    /** Freeze the rank-path state if stale (idempotent, cheap). */
-    void ensureRankState() const;
-
-    /** Whether rankChunk() offers a cheaper route (NN regressor). */
-    bool hasRankFastPath() const
-    {
-        return regressor_ == RegressorKind::Mlp;
-    }
-
-    /**
      * Serialize the trained predictor (configuration, scalers and
      * either the encoder+head parameters or the tree ensemble) into
      * an enclosing checkpoint stream.
@@ -164,9 +140,6 @@ class MetricPredictor
     nn::Tensor forwardNn(const std::vector<nasbench::Architecture> &archs,
                          bool training, Rng &rng) const;
 
-    /** Drop the frozen rank state (training invalidates it). */
-    void invalidateRankState();
-
     EncodingKind encoding_;
     EncoderConfig encCfg_;
     RegressorKind regressor_;
@@ -178,12 +151,6 @@ class MetricPredictor
     nasbench::FeatureScaler gbdtScaler_;
     TargetScaler targetScaler_;
     bool trained_ = false;
-
-    /** Lazily frozen rank-path state; see HwPrNas::RankState. */
-    struct RankState;
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    mutable std::atomic<bool> rankFrozen_{false};
 };
 
 /** Kendall tau + RMSE of a predictor on held-out records. */

@@ -6,53 +6,20 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset_id.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
 #include "pareto/pareto.h"
 #include "search/evaluator.h"
 
 namespace hwpr::core
 {
 
-/** Frozen rank-path state; see HwPrNas::RankState. */
-struct ScalableHwPrNas::RankState
-{
-    nn::QuantizedMlp mlp;
-    EncodingCache cache;
-};
-
 ScalableHwPrNas::ScalableHwPrNas(const ScalableConfig &cfg,
                                  nasbench::DatasetId dataset,
                                  std::uint64_t seed)
     : cfg_(cfg), dataset_(dataset), rng_(seed)
 {
-}
-
-ScalableHwPrNas::~ScalableHwPrNas() = default;
-
-void
-ScalableHwPrNas::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-ScalableHwPrNas::ensureRankState() const
-{
-    if (rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->mlp = nn::QuantizedMlp(*mlp_);
-    state->cache.init(encoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
 }
 
 void
@@ -305,7 +272,6 @@ ScalableHwPrNas::train(
     restoreParams(params, best_params);
     if (fast)
         arena.deactivate();
-    invalidateRankState();
     trained_ = true;
     energyAware_ = false;
 }
@@ -366,7 +332,6 @@ ScalableHwPrNas::addEnergyObjective(
     }
     if (fast)
         arena.deactivate();
-    invalidateRankState();
     energyAware_ = true;
 }
 
@@ -404,32 +369,6 @@ ScalableHwPrNas::predictBatch(
             const Matrix &enc = encoder_->encodeBatchInto(sub, s);
             Matrix &score = s.acquire(sub.size(), 1);
             mlp_->predictBatchInto(enc, s, score);
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = score(i - i0, 0);
-        });
-    return out;
-}
-
-const Matrix &
-ScalableHwPrNas::rankBatch(
-    std::span<const nasbench::Architecture> archs,
-    BatchPlan &plan) const
-{
-    if (archs.empty())
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "rankBatch() before train()");
-    ensureRankState();
-    RankState &rank = *rank_;
-    Matrix &out = plan.prepare(archs.size(), 1);
-    plan.forEachChunk(
-        "scalable_rank",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            Matrix &enc = s.acquire(sub.size(), rank.cache.width());
-            gatherEncodings(*encoder_, sub, rank.cache, s, enc);
-            Matrix &score = s.acquire(sub.size(), 1);
-            rank.mlp.predictBatchInto(enc, s, score);
             for (std::size_t i = i0; i < i1; ++i)
                 out(i, 0) = score(i - i0, 0);
         });

@@ -15,9 +15,7 @@
 #ifndef HWPR_CORE_SCALABLE_H
 #define HWPR_CORE_SCALABLE_H
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "core/encoding.h"
@@ -41,8 +39,6 @@ class ScalableHwPrNas : public Surrogate
   public:
     ScalableHwPrNas(const ScalableConfig &cfg,
                     nasbench::DatasetId dataset, std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~ScalableHwPrNas() override;
 
     // Surrogate interface -------------------------------------------
 
@@ -77,16 +73,6 @@ class ScalableHwPrNas : public Surrogate
     const Matrix &
     predictBatch(std::span<const nasbench::Architecture> archs,
                  BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings + the
-     * int8-quantized score MLP (see HwPrNas::rankBatch).
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "scalable"; }
 
     /** Training hyperparameters used by fit(). */
     void setFitConfig(const TrainConfig &cfg) { fitConfig_ = cfg; }
@@ -150,14 +136,6 @@ class ScalableHwPrNas : public Surrogate
     std::unique_ptr<nn::Mlp> mlp_;
     bool trained_ = false;
     bool energyAware_ = false;
-
-    /** Lazily frozen rank-path state; see HwPrNas::RankState. */
-    struct RankState;
-    void ensureRankState() const;
-    void invalidateRankState();
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    mutable std::atomic<bool> rankFrozen_{false};
 };
 
 } // namespace hwpr::core

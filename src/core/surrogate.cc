@@ -1,34 +1,16 @@
 #include "core/surrogate.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <string_view>
 
 #include "common/logging.h"
-#include "common/obs.h"
 #include "common/serialize.h"
-#include "common/stats.h"
 #include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
 
 namespace hwpr::core
 {
-
-namespace
-{
-
-/** HWPR_RANK_ONLY: any value but "" / "0" enables rank-only mode. */
-bool
-rankOnlyEnvEnabled()
-{
-    const char *v = std::getenv("HWPR_RANK_ONLY");
-    return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
-} // namespace
 
 std::vector<double>
 Surrogate::scoreBatch(std::span<const nasbench::Architecture> archs) const
@@ -81,46 +63,8 @@ Surrogate::predictBatch(std::span<const nasbench::Architecture> archs,
 
 SurrogateEvaluator::SurrogateEvaluator(const Surrogate &model,
                                        double sim_seconds_per_eval)
-    : model_(model), simSecondsPerEval_(sim_seconds_per_eval),
-      rankOnly_(rankOnlyEnvEnabled())
+    : model_(model), simSecondsPerEval_(sim_seconds_per_eval)
 {
-}
-
-const Matrix &
-SurrogateEvaluator::rankPredict(
-    const std::vector<nasbench::Architecture> &archs)
-{
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rank_rows =
-            obs::Registry::global().counter("predict.rank_only");
-        rank_rows.add(archs.size());
-
-        // One-shot self-check: the first rank-only batch also runs
-        // the fp64 path and gauges the observed Kendall tau per
-        // family, so a drifting quantization shows up on the metrics
-        // surface of any long-running consumer (search, serve).
-        if (!tauSelfChecked_ && archs.size() >= 2) {
-            tauSelfChecked_ = true;
-            BatchPlan ref_plan;
-            const Matrix &ref =
-                model_.predictBatch(archs, ref_plan);
-            const Matrix &q = model_.rankBatch(archs, plan_);
-            double min_tau = 1.0;
-            std::vector<double> a(q.rows()), b(q.rows());
-            for (std::size_t j = 0; j < q.cols(); ++j) {
-                for (std::size_t i = 0; i < q.rows(); ++i) {
-                    a[i] = ref(i, j);
-                    b[i] = q(i, j);
-                }
-                min_tau = std::min(min_tau, kendallTau(a, b));
-            }
-            obs::Registry::global()
-                .gauge("predict.tau_int8." + model_.familyLabel())
-                .set(min_tau);
-            return q;
-        }
-    }
-    return model_.rankBatch(archs, plan_);
 }
 
 std::vector<double>
@@ -136,9 +80,7 @@ SurrogateEvaluator::evaluate(
 {
     std::vector<pareto::Point> out;
     out.reserve(archs.size());
-    const Matrix &pred = rankOnly_
-                             ? rankPredict(archs)
-                             : model_.predictBatch(archs, plan_);
+    const Matrix &pred = model_.predictBatch(archs, plan_);
     for (std::size_t i = 0; i < pred.rows(); ++i) {
         pareto::Point p(pred.cols(), 0.0);
         for (std::size_t j = 0; j < pred.cols(); ++j)

@@ -3,9 +3,9 @@
  * Unified batched surrogate interface.
  *
  * Every surrogate family in the repo — HW-PR-NAS, the scalable
- * variant, BRP-NAS, GATES and the LUT latency estimator — implements
- * `Surrogate`: fit once on oracle records, then answer whole batches
- * of architectures at a time. The batch methods are the *only*
+ * variant, BRP-NAS, GATES, the LUT latency estimator and the
+ * dominance classifier — implements `Surrogate`: fit once on oracle
+ * records, then answer whole batches of architectures at a time. The batch methods are the *only*
  * prediction paths; they run one matrix-level forward per chunk (no
  * autodiff recording) and fan the chunks out over the ExecContext
  * thread pool. Chunk boundaries depend only on the batch size, so
@@ -90,7 +90,7 @@ class Surrogate
      * the plan is warm. Returns the plan's output matrix — one score
      * column for ParetoScore surrogates, numObjectives() minimization
      * columns for ObjectiveVector surrogates. Values are bit-identical
-     * to scoreBatch() / objectivesBatch() (all five families override
+     * to scoreBatch() / objectivesBatch() (all six families override
      * this with the fused pass and express the legacy entry points
      * through it). The default adapts any other implementation by
      * copying the legacy batch results into the plan.
@@ -100,31 +100,16 @@ class Surrogate
                  BatchPlan &plan) const;
 
     /**
-     * Rank-only batched prediction: same output shape and the same
-     * *ordering* semantics as predictBatch, but values may be
-     * computed on a cheaper, lower-precision path (int8 heads, frozen
-     * encoder memoization, flattened GBDT descent). Callers that only
-     * compare rows — environmental selection, tournament picks — can
-     * use this; anything that reports absolute numbers must use
-     * predictBatch (or re-score, see DESIGN.md "Quantized rank
-     * path"). The default is simply predictBatch; families override
-     * it where a cheaper route exists. Rank agreement is gated at
-     * Kendall tau >= 0.98 vs fp64 in CI.
+     * Alias of predictBatch, kept for callers that only compare rows
+     * (the serve `rank` op, external benchmark drivers). There is one
+     * exact prediction path; a rank is never computed differently
+     * from a prediction.
      */
-    virtual const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const
+    const Matrix &rankBatch(std::span<const nasbench::Architecture> archs,
+                            BatchPlan &plan) const
     {
         return predictBatch(archs, plan);
     }
-
-    /**
-     * Short stable identifier used in metrics keys, e.g.
-     * "predict.tau_int8.<familyLabel>". Matches the forEachChunk
-     * family strings ("hwprnas", "scalable", "brpnas", "gates",
-     * "lut", "dominance").
-     */
-    virtual std::string familyLabel() const { return "surrogate"; }
 
     /**
      * Whether this family predicts *pairwise dominance* directly, so
@@ -168,11 +153,6 @@ class Surrogate
 class SurrogateEvaluator : public search::Evaluator
 {
   public:
-    /**
-     * Rank-only mode starts from the HWPR_RANK_ONLY environment
-     * variable (any value but "" / "0" enables it); setRankOnly()
-     * overrides either way.
-     */
     explicit SurrogateEvaluator(const Surrogate &model,
                                 double sim_seconds_per_eval = 0.0);
 
@@ -194,16 +174,6 @@ class SurrogateEvaluator : public search::Evaluator
         return simSecondsPerEval_ * double(batch);
     }
 
-    /**
-     * Route evaluations through Surrogate::rankBatch (the quantized
-     * rank-only fast path) instead of predictBatch. Selection then
-     * runs on approximate scores; any *reported* front must be
-     * re-scored in fp64 (search::rescoreFitness does this, and
-     * `hwpr search` applies it automatically).
-     */
-    void setRankOnly(bool on) { rankOnly_ = on; }
-    bool rankOnly() const { return rankOnly_; }
-
     /** True when the wrapped surrogate has a pairwise head. */
     bool hasPredictedDominance() const override
     {
@@ -220,10 +190,6 @@ class SurrogateEvaluator : public search::Evaluator
         const std::vector<nasbench::Architecture> &archs) override;
 
   private:
-    /** rankBatch + rank_only counter + one-shot tau self-check. */
-    const Matrix &
-    rankPredict(const std::vector<nasbench::Architecture> &archs);
-
     const Surrogate &model_;
     /**
      * One plan per search, reused across generations: population
@@ -234,9 +200,6 @@ class SurrogateEvaluator : public search::Evaluator
     /** Separate plan for dominance-count sweeps (merged-size batches). */
     BatchPlan countPlan_;
     double simSecondsPerEval_;
-    bool rankOnly_ = false;
-    /** First rank-only batch also runs fp64 and gauges the tau. */
-    bool tauSelfChecked_ = false;
 };
 
 /**

@@ -71,7 +71,7 @@ class Gbdt
      * branch-free fixed-depth descent per tree. The comparisons and
      * the accumulation order match predictRow() exactly, so the two
      * paths are bit-identical — predictRow() is the kept oracle
-     * (tests/prop/test_prop_quant.cc checks them against each other).
+     * (tests/test_gbdt.cc checks them against each other).
      */
     Matrix predictBatch(const Matrix &x) const;
 

@@ -82,35 +82,12 @@ class PredictScratch
      */
     std::vector<Edge> &edges() { return edges_; }
 
-    /**
-     * Reusable int16 row buffer for the quantized rank path
-     * (QuantizedMlp::predictBatchInto): holds one layer's quantized
-     * activations at a time. Call-scoped like edges(); grown to at
-     * least @p n elements, capacity persists across reset().
-     */
-    std::vector<std::int16_t> &
-    quantRows(std::size_t n)
-    {
-        if (qrows_.size() < n)
-            qrows_.resize(n);
-        return qrows_;
-    }
-
-    /** Per-row input scales of the quantized path (call-scoped). */
-    std::vector<double> &
-    quantScales(std::size_t n)
-    {
-        if (qscales_.size() < n)
-            qscales_.resize(n);
-        return qscales_;
-    }
-
     /** Buffers currently pooled (diagnostics). */
     std::size_t numBuffers() const { return slots_.size(); }
 
     /// @name Byte accounting (see DESIGN.md "Performance
-    /// observatory"). Matrix slots only; the auxiliary edge/quant
-    /// vectors are an order of magnitude smaller.
+    /// observatory"). Matrix slots only; the auxiliary edge vector is
+    /// an order of magnitude smaller.
     /// @{
     /** Bytes of fresh Matrix allocations over this scratch's life. */
     std::uint64_t bytesAllocated() const { return bytesAllocated_; }
@@ -142,8 +119,6 @@ class PredictScratch
      */
     std::deque<Slot> slots_;
     std::vector<Edge> edges_;
-    std::vector<std::int16_t> qrows_;
-    std::vector<double> qscales_;
     std::uint64_t bytesAllocated_ = 0;
     std::uint64_t bytesReused_ = 0;
 };

@@ -23,14 +23,6 @@ measureFront(const SearchResult &result, const nasbench::Oracle &oracle,
     return report;
 }
 
-void
-rescoreFitness(SearchResult &result, Evaluator &eval)
-{
-    if (result.population.empty())
-        return;
-    result.fitness = eval.evaluate(result.population);
-}
-
 std::vector<pareto::Point>
 trueFrontOf(const std::vector<nasbench::Architecture> &archs,
             const nasbench::Oracle &oracle, hw::PlatformId platform,

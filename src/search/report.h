@@ -39,15 +39,6 @@ FrontReport measureFront(const SearchResult &result,
                          bool include_energy = false);
 
 /**
- * Re-evaluate the final population with @p eval, replacing
- * result.fitness in place. The rank-only search flow (HWPR_RANK_ONLY)
- * uses this to re-score its final population in full fp64 before any
- * number is reported: the int8 path only ever has to *order*
- * candidates during the run, never to produce reported values.
- */
-void rescoreFitness(SearchResult &result, Evaluator &eval);
-
-/**
  * True Pareto front of an entire (enumerable) space sample: measures
  * all given architectures and returns the non-dominated objective
  * vectors. Used as the "optimal Pareto front" reference of Fig. 6.

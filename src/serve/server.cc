@@ -214,7 +214,7 @@ Server::pollTimeoutMs() const
     // Non-empty queues poll without blocking: either more requests
     // are already readable (they join the batch) or the stream has
     // gone quiet and flushDue() fires the batch immediately.
-    if (predictQ_.empty() && rankQ_.empty())
+    if (queue_.empty())
         return 50; // idle tick
     return 0;
 }
@@ -226,7 +226,7 @@ Server::updateQueueGauges()
         obs::Registry::global().gauge("serve.queue_depth");
     static obs::Gauge &connections =
         obs::Registry::global().gauge("serve.connections");
-    depth.set(double(predictRows_ + rankRows_));
+    depth.set(double(queuedRows_));
     connections.set(double(conns_.size()));
 }
 
@@ -435,13 +435,9 @@ Server::handleFrame(Conn &conn, const std::string &payload)
         p.idTok = idTok;
         p.archs = std::move(archs);
         p.enqueuedUs = t0;
-        if (op == "rank") {
-            rankRows_ += p.archs.size();
-            rankQ_.push_back(std::move(p));
-        } else {
-            predictRows_ += p.archs.size();
-            predictQ_.push_back(std::move(p));
-        }
+        p.rank = op == "rank";
+        queuedRows_ += p.archs.size();
+        queue_.push_back(std::move(p));
         return; // answered by the next flush
     }
     if (op == "ping") {
@@ -455,7 +451,7 @@ Server::handleFrame(Conn &conn, const std::string &payload)
         countRequest("stats");
         std::string out = "{\"ok\": true, \"op\": \"stats\"" +
                           idField + ", \"queue_depth\": " +
-                          std::to_string(predictRows_ + rankRows_) +
+                          std::to_string(queuedRows_) +
                           ", \"connections\": " +
                           std::to_string(conns_.size());
         out += ", \"jobs\": [";
@@ -560,26 +556,23 @@ Server::handleFrame(Conn &conn, const std::string &payload)
 void
 Server::flushDue(bool force, bool quiet)
 {
-    const double now = obs::nowMicros();
-    const auto due = [&](const std::vector<Pending> &q,
-                         std::size_t rows) {
-        if (q.empty())
+    const auto due = [&] {
+        if (queue_.empty())
             return force; // empty flush: well-defined no-op upstream
-        if (force || quiet || rows >= cfg_.batchMaxArchs)
+        if (force || quiet || queuedRows_ >= cfg_.batchMaxArchs)
             return true;
-        double oldest = q.front().enqueuedUs;
-        for (const Pending &p : q)
+        double oldest = queue_.front().enqueuedUs;
+        for (const Pending &p : queue_)
             oldest = std::min(oldest, p.enqueuedUs);
-        return now - oldest >= double(cfg_.batchDeadlineUs);
+        return obs::nowMicros() - oldest >=
+               double(cfg_.batchDeadlineUs);
     };
-    if (due(predictQ_, predictRows_))
-        flushQueue(predictQ_, false);
-    if (due(rankQ_, rankRows_))
-        flushQueue(rankQ_, true);
+    if (due())
+        flushQueue();
 }
 
 void
-Server::flushQueue(std::vector<Pending> &queue, bool rank)
+Server::flushQueue()
 {
     // Coalesce queued requests into fused batch calls, never letting
     // one batch exceed batchMaxArchs (a request larger than the cap
@@ -588,42 +581,37 @@ Server::flushQueue(std::vector<Pending> &queue, bool rank)
     // The empty case still goes through the plan — it is the
     // satellite no-op contract the deadline path depends on.
     std::size_t begin = 0;
-    while (begin < queue.size() || (begin == 0 && queue.empty())) {
+    while (begin < queue_.size() || (begin == 0 && queue_.empty())) {
         std::size_t end = begin, rows = 0;
-        while (end < queue.size() &&
+        while (end < queue_.size() &&
                (end == begin ||
-                rows + queue[end].archs.size() <=
+                rows + queue_[end].archs.size() <=
                     cfg_.batchMaxArchs)) {
-            rows += queue[end].archs.size();
+            rows += queue_[end].archs.size();
             ++end;
         }
-        flushGroup(queue, begin, end, rank);
-        if (queue.empty())
+        flushGroup(begin, end);
+        if (queue_.empty())
             break;
         begin = end;
     }
-    queue.clear();
-    if (rank)
-        rankRows_ = 0;
-    else
-        predictRows_ = 0;
+    queue_.clear();
+    queuedRows_ = 0;
 }
 
 void
-Server::flushGroup(const std::vector<Pending> &queue,
-                   std::size_t begin, std::size_t end, bool rank)
+Server::flushGroup(std::size_t begin, std::size_t end)
 {
     std::vector<nasbench::Architecture> batch;
     std::size_t rows = 0;
     for (std::size_t i = begin; i < end; ++i)
-        rows += queue[i].archs.size();
+        rows += queue_[i].archs.size();
     batch.reserve(rows);
     for (std::size_t i = begin; i < end; ++i)
-        batch.insert(batch.end(), queue[i].archs.begin(),
-                     queue[i].archs.end());
+        batch.insert(batch.end(), queue_[i].archs.begin(),
+                     queue_[i].archs.end());
 
-    const Matrix &pred = rank ? model_.rankBatch(batch, plan_)
-                              : model_.predictBatch(batch, plan_);
+    const Matrix &pred = model_.predictBatch(batch, plan_);
 
     static obs::Counter &batches =
         obs::Registry::global().counter("serve.batches");
@@ -631,15 +619,13 @@ Server::flushGroup(const std::vector<Pending> &queue,
         obs::Registry::global().counter("serve.batch_rows");
     batches.add();
     batchRows.add(rows);
-    obs::Histogram &lat = rank ? rankLatency() : predictLatency();
 
     const double now = obs::nowMicros();
-    const char *op = rank ? "rank" : "predict";
     std::size_t row = 0;
     for (std::size_t i = begin; i < end; ++i) {
-        const Pending &p = queue[i];
+        const Pending &p = queue_[i];
         std::string out = "{\"ok\": true, \"op\": \"";
-        out += op;
+        out += p.rank ? "rank" : "predict";
         out += "\"";
         if (!p.idTok.empty())
             out += ", \"id\": " + p.idTok;
@@ -657,7 +643,8 @@ Server::flushGroup(const std::vector<Pending> &queue,
         }
         out += "]}";
         respond(p.connFd, out);
-        lat.record(now - p.enqueuedUs);
+        (p.rank ? rankLatency() : predictLatency())
+            .record(now - p.enqueuedUs);
     }
 }
 

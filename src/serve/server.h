@@ -2,16 +2,17 @@
  * @file
  * hwpr-serve event loop (see DESIGN.md "Serving & micro-batching").
  *
- * A single-threaded poll() loop owns every connection and the two
- * micro-batch queues (predict / rank). Requests coalesce until the
- * queued row count reaches batchMaxArchs, the oldest queued request
- * is batchDeadlineUs old, or a poll() finds no readable connection
- * (natural batching: nothing else can join the batch right now, so
- * waiting would only add latency) — whichever comes first — then
- * fused predictBatch / rankBatch calls of at most batchMaxArchs rows
- * answer all of them; the per-request responses are sliced back out
- * row by row. Coalescing
- * never changes answers: batched predictions are bitwise independent
+ * A single-threaded poll() loop owns every connection and one
+ * micro-batch queue. `rank` is an alias of `predict` (one exact
+ * prediction path), so both ops share the queue. Requests coalesce
+ * until the queued row count reaches batchMaxArchs, the oldest queued
+ * request is batchDeadlineUs old, or a poll() finds no readable
+ * connection (natural batching: nothing else can join the batch right
+ * now, so waiting would only add latency) — whichever comes first —
+ * then fused predictBatch calls of at most batchMaxArchs rows answer
+ * all of them; the per-request responses are sliced back out row by
+ * row, each tagged with the op it asked for. Coalescing never changes
+ * answers: batched predictions are bitwise independent
  * of batch composition (the batched-vs-scalar property enforced by
  * tests/prop), so the batching degree is a latency/throughput knob,
  * not a semantics knob.
@@ -21,7 +22,7 @@
  * (ThreadPool supports concurrent top-level callers).
  *
  * Shutdown (requestStop(), or a "shutdown" op): the loop stops
- * accepting, flushes both queues regardless of deadline, drains
+ * accepting, flushes the queue regardless of deadline, drains
  * outbound buffers best-effort, stops the job worker at its current
  * slice boundary (checkpoint already on disk), and returns from
  * run(). requestStop() is async-signal-safe — an atomic store plus a
@@ -103,13 +104,14 @@ class Server
         std::string idTok;
         std::vector<nasbench::Architecture> archs;
         double enqueuedUs = 0.0;
+        /** Asked as "rank": sets the reply's op and latency series. */
+        bool rank = false;
     };
 
     void handleFrame(Conn &conn, const std::string &payload);
     void respond(int connFd, const std::string &payload);
-    void flushQueue(std::vector<Pending> &queue, bool rank);
-    void flushGroup(const std::vector<Pending> &queue,
-                    std::size_t begin, std::size_t end, bool rank);
+    void flushQueue();
+    void flushGroup(std::size_t begin, std::size_t end);
     void flushDue(bool force, bool quiet = false);
     long pollTimeoutMs() const;
     void acceptPending();
@@ -125,8 +127,8 @@ class Server
     int port_ = 0;
     std::atomic<bool> stop_{false};
     std::map<int, Conn> conns_;
-    std::vector<Pending> predictQ_, rankQ_;
-    std::size_t predictRows_ = 0, rankRows_ = 0;
+    std::vector<Pending> queue_;
+    std::size_t queuedRows_ = 0;
     core::BatchPlan plan_;
     std::unique_ptr<JobManager> jobs_;
 };

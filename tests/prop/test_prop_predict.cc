@@ -1,7 +1,8 @@
 /**
  * @file
  * Property tests for the fused, plan-backed inference pipeline: for
- * every surrogate family (HW-PR-NAS, scalable, BRP-NAS, GATES, LUT),
+ * every surrogate family (HW-PR-NAS, scalable, BRP-NAS, GATES, LUT,
+ * dominance classifier),
  * predictBatch() over a generated batch must be *bitwise* identical
  * to querying the same architectures one at a time, invariant to the
  * global thread count (1/2/4/8 lanes), and stable under plan reuse
@@ -28,6 +29,7 @@
 #include "common/prop.h"
 #include "common/threadpool.h"
 #include "core/batch_plan.h"
+#include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
 #include "core/surrogate.h"
@@ -60,7 +62,7 @@ propData()
 }
 
 /**
- * All five families, fitted once on the tiny dataset. Encoder dims
+ * All six families, fitted once on the tiny dataset. Encoder dims
  * are multiples of 4 on purpose: the elementwise activation kernel
  * runs 4 doubles per lane, so rows of a (n x cols) panel only share
  * the single-row lane phase when cols % 4 == 0 — which is what makes
@@ -123,6 +125,21 @@ families()
             nasbench::DatasetId::Cifar10, hw::PlatformId::EdgeGpu);
         lut->fit(sd, ctx);
         out.push_back({"lut", std::move(lut)});
+
+        core::DominanceConfig dc;
+        dc.encoder = enc;
+        dc.headHidden = {16, 8};
+        dc.referenceSize = 24;
+        dc.maxPairsPerEpoch = 3000;
+        dc.maxValPairs = 500;
+        auto dom = std::make_unique<core::DominanceSurrogate>(
+            dc, nasbench::DatasetId::Cifar10, 15);
+        core::TrainConfig dquick;
+        dquick.epochs = 3;
+        dquick.patience = 3;
+        dquick.batchSize = 64;
+        dom->train(sd.train, sd.val, sd.platform, dquick);
+        out.push_back({"dominance", std::move(dom)});
         return out;
     }();
     return fams;

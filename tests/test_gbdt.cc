@@ -1,14 +1,19 @@
 /**
  * @file
  * Gradient-boosted tree tests: both growth policies fit simple
- * functions, early stopping works, and the split machinery respects
- * its constraints.
+ * functions, early stopping works, the split machinery respects
+ * its constraints, and the flattened batch descent matches the
+ * node-chasing oracle bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <sstream>
+#include <string>
 
+#include "common/prop.h"
 #include "common/stats.h"
 #include "gbdt/gbdt.h"
 
@@ -180,4 +185,56 @@ TEST(Gbdt, SubsamplingStillLearns)
     Rng rng(12);
     model.fit(x, y, rng);
     EXPECT_GT(kendallTau(model.predict(x), y), 0.9);
+}
+
+namespace
+{
+
+/** Seed generator for properties that build their own inputs. */
+prop::Gen<int>
+seedGen()
+{
+    prop::Gen<int> g;
+    g.sample = [](Rng &rng) { return int(rng.intIn(0, 1 << 30)); };
+    return g;
+}
+
+} // namespace
+
+TEST(PropQuant, GbdtFlatBatchMatchesRowOracle)
+{
+    const auto r = prop::forAll<int>(
+        prop::Config::fromEnv(0xF05ED007, 20), seedGen(),
+        [](int seed) -> std::optional<std::string> {
+            Rng rng(std::uint64_t(seed) + 1);
+            const std::size_t n = std::size_t(rng.intIn(8, 120));
+            const std::size_t d = std::size_t(rng.intIn(2, 12));
+            Matrix x(n, d);
+            for (double &v : x.raw())
+                v = rng.normal();
+            std::vector<double> y(n);
+            for (std::size_t i = 0; i < n; ++i)
+                y[i] = x(i, 0) * 2.0 - x(i, d - 1) + rng.normal();
+
+            gbdt::GbdtConfig cfg = rng.bernoulli(0.5)
+                                       ? gbdt::xgboostConfig()
+                                       : gbdt::lgboostConfig();
+            cfg.rounds = std::size_t(rng.intIn(1, 25));
+            gbdt::Gbdt model(cfg);
+            model.fit(x, y, rng);
+
+            const Matrix batched = model.predictBatch(x);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double oracle = model.predictRow(x, i);
+                if (batched(i, 0) != oracle) {
+                    std::ostringstream msg;
+                    msg.precision(17);
+                    msg << "row " << i << ": flat " << batched(i, 0)
+                        << " vs node-walk " << oracle;
+                    return msg.str();
+                }
+            }
+            return std::nullopt;
+        });
+    EXPECT_TRUE(r.ok) << r.message;
 }

@@ -3,9 +3,9 @@
  * Observability-layer tests: histogram bucket math and percentiles,
  * counter correctness under parallelFor contention, span nesting and
  * thread attribution in the exported Chrome trace JSON, the disabled
- * path recording nothing, sampling-profiler attribution, rank-cache
- * eviction accounting, and same-seed fit/search being bit-identical
- * with tracing + metrics + profiling on vs off.
+ * path recording nothing, sampling-profiler attribution, and
+ * same-seed fit/search being bit-identical with tracing + metrics +
+ * profiling on vs off.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "core/hwprnas.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset.h"
 #include "nasbench/space.h"
 #include "search/moea.h"
@@ -435,48 +434,6 @@ TEST(ObsProfiler, NestedSpansSplitSelfAndTotal)
               std::string::npos);
     EXPECT_GT(obs::profileSelfSamples("profiler_inner"), 0u);
     obs::clearProfile();
-}
-
-TEST(ObsRankCache, EvictsPastCapAndCountsAccounting)
-{
-    core::EncodingCache cache;
-    cache.init(/*width=*/3, /*capacity=*/8);
-
-    Rng rng(123);
-    std::vector<nasbench::Architecture> archs;
-    while (archs.size() < 20) {
-        const auto a = nasbench::nasBench201().sample(rng);
-        bool dup = false;
-        for (const auto &b : archs)
-            dup = dup || b.hash(1) == a.hash(1);
-        if (!dup)
-            archs.push_back(a);
-    }
-
-    double row[3] = {0.0, 0.0, 0.0};
-    // Cold lookups are misses.
-    EXPECT_FALSE(cache.lookup(archs[0], row));
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-
-    for (std::size_t i = 0; i < archs.size(); ++i) {
-        row[0] = double(i);
-        cache.insert(archs[i], row);
-        EXPECT_LE(cache.size(), 8u) << "insert " << i;
-    }
-    // 20 inserts into capacity 8: exactly 12 evictions, cap held.
-    EXPECT_EQ(cache.size(), 8u);
-    EXPECT_EQ(cache.evictions(), 12u);
-
-    // The most recent insert is resident; its row reads back intact.
-    EXPECT_TRUE(cache.lookup(archs.back(), row));
-    EXPECT_EQ(row[0], 19.0);
-    EXPECT_EQ(cache.hits(), 1u);
-
-    // init() resets rows and accounting alike.
-    cache.init(3, 8);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits() + cache.misses() + cache.evictions(), 0u);
 }
 
 TEST(ObsDeterminism, SameSeedFitIdenticalWithObsOnVsOff)

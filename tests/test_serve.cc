@@ -24,6 +24,7 @@
 
 #include "baselines/lut.h"
 #include "common/json.h"
+#include "common/obs.h"
 #include "core/dominance.h"
 #include "nasbench/dataset.h"
 #include "nasbench/space.h"
@@ -90,14 +91,18 @@ class Client
     void
     send(const std::string &payload)
     {
-        const std::string frame = serve::encodeFrame(payload);
-        std::size_t off = 0;
-        while (off < frame.size()) {
-            const ssize_t n = ::write(fd_, frame.data() + off,
-                                      frame.size() - off);
-            ASSERT_GT(n, 0);
-            off += std::size_t(n);
-        }
+        writeAll(serve::encodeFrame(payload));
+    }
+
+    /** Several frames in one write, so the server reads them in the
+     *  same poll iteration (one flush window). */
+    void
+    sendTogether(const std::vector<std::string> &payloads)
+    {
+        std::string bytes;
+        for (const std::string &payload : payloads)
+            bytes += serve::encodeFrame(payload);
+        writeAll(bytes);
     }
 
     std::string
@@ -123,6 +128,18 @@ class Client
     }
 
   private:
+    void
+    writeAll(const std::string &bytes)
+    {
+        std::size_t off = 0;
+        while (off < bytes.size()) {
+            const ssize_t n = ::write(fd_, bytes.data() + off,
+                                      bytes.size() - off);
+            ASSERT_GT(n, 0);
+            off += std::size_t(n);
+        }
+    }
+
     std::string
     readExact(std::size_t n)
     {
@@ -363,14 +380,45 @@ TEST(ServeServer, PredictAndRankMatchDirectBatchCalls)
         EXPECT_EQ(row[0].asNumber(), expect[r]);
     }
 
-    // rank returns the same values for the LUT (memoized estimates).
+    // rank is an alias of predict: same values.
     const json::Value ranked = client.roundTrip(
         "{\"op\": \"rank\", \"id\": 2, \"archs\": [" +
         archJson(archs[0]) + "]}");
+    EXPECT_EQ(ranked.stringOr("op", ""), "rank");
     const json::Value *rrows = ranked.find("predictions");
     ASSERT_NE(rrows, nullptr);
     EXPECT_EQ(rrows->asArray()[0].asArray()[0].asNumber(),
               expect[0]);
+
+    // Both ops share one queue: a predict and a rank for the same
+    // archs queued in one flush window cost exactly one fused batch,
+    // come back in queue order with their own "op", and agree bit for
+    // bit with the direct call.
+    obs::Counter &batches =
+        obs::Registry::global().counter("serve.batches");
+    const std::uint64_t batches_before = batches.value();
+    std::string archs_field = "\"archs\": [";
+    for (std::size_t i = 0; i < archs.size(); ++i)
+        archs_field += (i != 0 ? ", " : "") + archJson(archs[i]);
+    archs_field += "]}";
+    client.sendTogether(
+        {"{\"op\": \"predict\", \"id\": \"p\", " + archs_field,
+         "{\"op\": \"rank\", \"id\": \"k\", " + archs_field});
+    const json::Value first = json::parse(client.recv());
+    const json::Value second = json::parse(client.recv());
+    EXPECT_EQ(batches.value() - batches_before, 1u);
+    EXPECT_EQ(first.stringOr("op", ""), "predict");
+    EXPECT_EQ(first.stringOr("id", ""), "p");
+    EXPECT_EQ(second.stringOr("op", ""), "rank");
+    EXPECT_EQ(second.stringOr("id", ""), "k");
+    for (const json::Value *reply : {&first, &second}) {
+        const json::Value *rows = reply->find("predictions");
+        ASSERT_NE(rows, nullptr);
+        ASSERT_EQ(rows->asArray().size(), archs.size());
+        for (std::size_t r = 0; r < archs.size(); ++r)
+            EXPECT_EQ(rows->asArray()[r].asArray()[0].asNumber(),
+                      expect[r]);
+    }
 
     // Empty batch: a well-defined no-op end to end (satellite 1).
     const json::Value none =
@@ -515,8 +563,8 @@ TEST(ServeServer, DominanceCheckpointServedWithBitwiseParity)
 {
     // Train a tiny dominance classifier, round-trip it through the
     // kind->loader registry, and serve the *loaded* model: the wire
-    // responses must match direct predictBatch/rankBatch calls bit
-    // for bit (%.17g survives the double round trip exactly).
+    // responses must match a direct predictBatch call bit for bit
+    // (%.17g survives the double round trip exactly).
     static nasbench::Oracle oracle(nasbench::DatasetId::Cifar10);
     Rng rng(91);
     const auto data = nasbench::SampledDataset::sample(
@@ -546,7 +594,7 @@ TEST(ServeServer, DominanceCheckpointServedWithBitwiseParity)
     ASSERT_TRUE(trainer.save(ckpt));
     const auto model = core::loadSurrogate(ckpt);
     ASSERT_NE(model, nullptr);
-    EXPECT_EQ(model->familyLabel(), "dominance");
+    EXPECT_EQ(model->name(), "Dominance Classifier");
 
     std::vector<nasbench::Architecture> archs = {
         sampleArch(nasbench::SpaceId::NasBench201, 0),
@@ -582,8 +630,7 @@ TEST(ServeServer, DominanceCheckpointServedWithBitwiseParity)
         EXPECT_LT(row[0].asNumber(), 1.0);
     }
 
-    // The rank path is the memoized-encoder fast path; for the
-    // dominance family it is bit-identical to predict (fp64 head).
+    // rank is an alias of predict: bit-identical answers.
     const json::Value ranked = client.roundTrip(
         "{\"op\": \"rank\", \"archs\": [" + archJson(archs[0]) +
         ", " + archJson(archs[2]) + "]}");

@@ -69,11 +69,6 @@ subcommands:
                                   the same model, config and seed the
                                   result is bit-identical to an
                                   uninterrupted run
-           HWPR_RANK_ONLY=1       score generations through the int8
-                                  rank-only fast path; the final
-                                  population is re-scored in fp64 and
-                                  the reported front is always
-                                  oracle-measured
 global options:
   --threads N   size of the shared execution thread pool (default:
                 HWPR_THREADS env var, else hardware concurrency).
@@ -313,11 +308,6 @@ cmdSearch(const Args &args)
               << nasbench::datasetName(model->dataset()) << std::endl;
 
     core::SurrogateEvaluator eval(*model);
-    if (eval.rankOnly())
-        std::cout << "rank-only mode (HWPR_RANK_ONLY): generations "
-                     "scored through the int8 fast path; final "
-                     "population re-scored in fp64"
-                  << std::endl;
     search::MoeaConfig mc;
     mc.populationSize = std::size_t(args.getInt("pop", 60));
     mc.maxGenerations = std::size_t(args.getInt("gens", 40));
@@ -346,21 +336,8 @@ cmdSearch(const Args &args)
         search::SearchDomain::unionBenchmarks(), eval, rng, ckpt);
     const double wall_sec = (obs::nowMicros() - t0) * 1e-6;
 
-    if (eval.rankOnly()) {
-        // Reported numbers never come from the int8 path: re-score
-        // the final population in full fp64 (the front below is
-        // oracle-measured either way).
-        core::SurrogateEvaluator fp64_eval(*model);
-        fp64_eval.setRankOnly(false);
-        search::rescoreFitness(result, fp64_eval);
-    }
-
-    // Fitness-space summary. After the re-score above these numbers
-    // are fp64 in either mode, and for a scalar ParetoScore evaluator
-    // the fitness-space Pareto front degenerates to the best score —
-    // the stable quantity the rank-only parity gate in CI compares.
-    // (Oracle-measured fronts of one 60-arch population are far too
-    // seed-sensitive for a tight numeric gate; see DESIGN.md.)
+    // Fitness-space summary. For a scalar ParetoScore evaluator the
+    // fitness-space Pareto front degenerates to the best score.
     double best_score = 0.0, mean_score = 0.0;
     if (!result.fitness.empty() && result.fitness[0].size() == 1) {
         double best = result.fitness[0][0];
@@ -433,7 +410,6 @@ cmdSearch(const Args &args)
         .add("pop", double(mc.populationSize))
         .add("gens", double(mc.maxGenerations))
         .add("seed", double(args.getInt("seed", 1)))
-        .add("rank_only", eval.rankOnly() ? 1.0 : 0.0)
         .add("wall_sec", wall_sec)
         .add("best_score_fp64", best_score)
         .add("mean_score_fp64", mean_score)
